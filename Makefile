@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos lint cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
+.PHONY: all build vet test race check chaos watch-stress perfbench-test lint cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
 
 all: check
 
@@ -24,16 +24,28 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestReliable|TestBackEdgeRecovers' -count 1 ./internal/cluster ./internal/comm ./internal/core ./internal/fault
 
+# Timing-dependent watchdog tests, repeated under the race detector so an
+# intermittent failure shows up before it reaches the plain test run.
+watch-stress:
+	$(GO) test -race -count=20 ./internal/watch
+	$(GO) test -race -count=20 -run TestWatch ./internal/cluster
+
+# The benchmark harness is a module of its own (perfbench/go.mod), which
+# `go test ./...` at the root does not enter.
+perfbench-test:
+	cd perfbench && $(GO) test .
+
 # The repository's own analyzer suite (docs/STATIC_ANALYSIS.md): five
 # protocol-invariant checks that go vet cannot express.
 lint:
 	$(GO) run ./cmd/repllint ./...
 
 # The pre-merge gate: compile, static checks, full test suite, the race
-# detector, the chaos suite, the protocol-invariant lint, the
-# crash-recovery, contention- and freshness-observatory smokes, and the
-# benchmark smoke gate.
-check: build vet test race chaos lint recovery-smoke contention-smoke freshness-smoke bench-smoke
+# detector, the chaos suite, the watchdog stress run, the benchmark
+# harness's own tests, the protocol-invariant lint, the crash-recovery,
+# contention- and freshness-observatory smokes, and the benchmark smoke
+# gate.
+check: build vet test race chaos watch-stress perfbench-test lint recovery-smoke contention-smoke freshness-smoke bench-smoke
 
 cover:
 	$(GO) test -cover ./...

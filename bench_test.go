@@ -205,6 +205,42 @@ func BenchmarkDAGAblation(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterNew builds a Table 1 cluster (9 sites, in-memory
+// transport at 0.15 ms) without starting it: the fixed cost every run
+// pays before its first transaction. B/op is the construction footprint,
+// the per-site queues included. The DAG protocols get b=0, which they
+// require.
+func BenchmarkClusterNew(b *testing.B) {
+	for _, v := range []struct {
+		name  string
+		proto repro.Protocol
+	}{
+		{"BackEdge", repro.BackEdge},
+		{"DAGWT", repro.DAGWT},
+		{"DAGT", repro.DAGT},
+		{"PSL", repro.PSL},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			wl := repro.DefaultWorkload()
+			if v.proto == repro.DAGWT || v.proto == repro.DAGT {
+				wl.BackedgeProb = 0
+			}
+			cfg := repro.ClusterConfig{
+				Workload: wl, Protocol: v.proto,
+				Params: repro.DefaultParams(), Latency: 150 * time.Microsecond,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := repro.NewCluster(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Stop()
+			}
+		})
+	}
+}
+
 func ftoa(f float64) string {
 	switch f {
 	case 0:

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/model"
 )
 
@@ -117,13 +118,14 @@ type timedMsg struct {
 }
 
 // MemTransport is the in-process transport. Each ordered site pair gets a
-// dedicated delivery goroutine reading a FIFO queue; a message becomes
-// deliverable Latency after it was sent, and deliveries pipeline (latency
-// delays each message but does not serialize throughput).
+// dedicated delivery goroutine reading an unbounded FIFO queue, so Send
+// never waits for a slow receiver; a message becomes deliverable Latency
+// after it was sent, and deliveries pipeline (latency delays each message
+// but does not serialize throughput).
 type MemTransport struct {
 	mu       sync.Mutex
 	handlers map[model.SiteID]Handler
-	chans    map[pair]chan timedMsg
+	links    map[pair]*fifo.Queue[timedMsg]
 	latency  time.Duration
 	jitter   time.Duration
 	edgeLat  map[pair]time.Duration
@@ -139,7 +141,7 @@ type MemTransport struct {
 func NewMemTransport(latency time.Duration) *MemTransport {
 	return &MemTransport{
 		handlers: make(map[model.SiteID]Handler),
-		chans:    make(map[pair]chan timedMsg),
+		links:    make(map[pair]*fifo.Queue[timedMsg]),
 		latency:  latency,
 		edgeLat:  make(map[pair]time.Duration),
 		rng:      rand.New(rand.NewSource(1)),
@@ -212,12 +214,12 @@ func (t *MemTransport) Send(msg Message) error {
 		return ErrClosed
 	}
 	p := pair{msg.From, msg.To}
-	ch, ok := t.chans[p]
+	q, ok := t.links[p]
 	if !ok {
-		ch = make(chan timedMsg, 4096)
-		t.chans[p] = ch
+		q = fifo.New[timedMsg]()
+		t.links[p] = q
 		t.wg.Add(1)
-		go t.deliver(p, ch)
+		go t.deliver(p, q)
 	}
 	lat := t.delayFor(p)
 	stats := t.stats
@@ -226,23 +228,15 @@ func (t *MemTransport) Send(msg Message) error {
 		stats.CommSent(msg.From, msg.To, msgWireSize(msg))
 	}
 	now := time.Now()
-	// Block if the queue is full (reliable delivery, never drop), but give
-	// up if the transport shuts down meanwhile.
-	select {
-	case ch <- timedMsg{msg: msg, sent: now, due: now.Add(lat)}:
-		return nil
-	case <-t.done:
-		return ErrClosed
-	}
+	q.Push(timedMsg{msg: msg, sent: now, due: now.Add(lat)})
+	return nil
 }
 
-func (t *MemTransport) deliver(p pair, ch chan timedMsg) {
+func (t *MemTransport) deliver(p pair, q *fifo.Queue[timedMsg]) {
 	defer t.wg.Done()
 	for {
-		var tm timedMsg
-		select {
-		case tm = <-ch:
-		case <-t.done:
+		tm, ok := q.Pop(t.done)
+		if !ok {
 			return
 		}
 		// time.Sleep/After have a millisecond-scale floor on many kernels,

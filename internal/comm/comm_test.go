@@ -139,6 +139,70 @@ func TestMemTransportSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestMemTransportSendNeverBlocksOnStalledHandler holds a receiver's
+// handler on its first message while the sender keeps going: Send must
+// keep returning (the Transport contract; engines forward while holding
+// their commit lock), and once the handler resumes every message must
+// arrive in send order.
+func TestMemTransportSendNeverBlocksOnStalledHandler(t *testing.T) {
+	tr := NewMemTransport(0)
+	defer tr.Close()
+	const n = 10000
+	release := make(chan struct{})
+	done := make(chan struct{})
+	var got []int // only the link's delivery goroutine appends
+	tr.Register(1, func(m Message) {
+		if len(got) == 0 {
+			<-release
+		}
+		got = append(got, m.Kind)
+		if len(got) == n {
+			close(done)
+		}
+	})
+
+	sent := make(chan time.Duration, 1)
+	go func() {
+		var slowest time.Duration
+		for i := 0; i < n; i++ {
+			start := time.Now()
+			if err := tr.Send(Message{From: 0, To: 1, Kind: i}); err != nil {
+				t.Errorf("send %d: %v", i, err)
+				break
+			}
+			if d := time.Since(start); d > slowest {
+				slowest = d
+			}
+		}
+		sent <- slowest
+	}()
+	blocked := false
+	select {
+	case slowest := <-sent:
+		if slowest > time.Second {
+			t.Errorf("slowest Send took %v with the handler stalled", slowest)
+		}
+	case <-time.After(30 * time.Second):
+		blocked = true
+	}
+
+	close(release)
+	if blocked {
+		<-sent // the released handler unblocks the sender
+		t.Fatal("Send blocked behind a stalled handler")
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("messages not delivered after the handler resumed")
+	}
+	for i, k := range got {
+		if k != i {
+			t.Fatalf("reordered at %d: got kind %d", i, k)
+		}
+	}
+}
+
 func TestRPCCallReply(t *testing.T) {
 	tr := NewMemTransport(0)
 	defer tr.Close()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/fifo"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -40,7 +41,7 @@ import (
 // notifying the backedge sites so they release their locks.
 type backedgeEngine struct {
 	base
-	queue chan queuedMsg
+	queue *fifo.Queue[queuedMsg]
 	prog  *watch.Progress
 
 	table *twopc.Table
@@ -87,7 +88,7 @@ type originState struct {
 func newBackEdge(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *backedgeEngine {
 	e := &backedgeEngine{
 		base:      newBase(cfg, BackEdge, id, tr),
-		queue:     make(chan queuedMsg, 1<<16),
+		queue:     fifo.New[queuedMsg](),
 		prog:      cfg.Watch.Queue(id, "fifo"),
 		table:     twopc.NewTable(),
 		decisions: twopc.NewDecisionLog(),
@@ -175,17 +176,17 @@ func (e *backedgeEngine) recover() {
 		case kindSecondary:
 			e.obs.fifoDepth.Inc()
 			e.prog.Push()
-			e.queue <- queuedMsg{msg: comm.Message{
+			e.queue.Push(queuedMsg{msg: comm.Message{
 				From: r.From, To: e.id, Kind: kindSecondary, Span: r.Span,
 				Payload: secondaryPayload{TID: r.TID, Writes: r.Writes},
-			}}
+			}})
 		case kindSpecial:
 			e.obs.fifoDepth.Inc()
 			e.prog.Push()
-			e.queue <- queuedMsg{msg: comm.Message{
+			e.queue.Push(queuedMsg{msg: comm.Message{
 				From: r.From, To: e.id, Kind: kindSpecial, Span: r.Span,
 				Payload: specialPayload{TID: r.TID, Origin: r.Origin, Writes: r.Writes},
-			}}
+			}})
 		case kindBackedgeExec:
 			go e.execBackedge(specialPayload{TID: r.TID, Origin: r.Origin, Writes: r.Writes}, r.Span)
 		}
@@ -451,7 +452,7 @@ func (e *backedgeEngine) Handle(msg comm.Message) {
 		e.recTransport(msg, msg.Span.TID)
 		e.obs.fifoDepth.Inc()
 		e.prog.Push()
-		e.queue <- queuedMsg{msg: msg, at: e.phaseClock()}
+		e.queue.Push(queuedMsg{msg: msg, at: e.phaseClock()})
 	case kindBackedgeExec:
 		// Executed immediately and concurrently (§4.1 step 1: sent
 		// "directly ... to be executed"), not through the FIFO queue.
@@ -764,16 +765,14 @@ func (e *backedgeEngine) inquireStuck() {
 // applier drains the FIFO queue of normal and special secondaries.
 func (e *backedgeEngine) applier() {
 	for {
-		var msg comm.Message
-		select {
-		case q := <-e.queue:
-			e.obs.fifoDepth.Dec()
-			e.prog.Pop()
-			msg = q.msg
-			e.phaseSince(metrics.PhaseQueueWait, msg.From, msg.Span.TID, q.at)
-		case <-e.stop:
+		q, ok := e.queue.Pop(e.stop)
+		if !ok {
 			return
 		}
+		e.obs.fifoDepth.Dec()
+		e.prog.Pop()
+		msg := q.msg
+		e.phaseSince(metrics.PhaseQueueWait, msg.From, msg.Span.TID, q.at)
 		switch msg.Kind {
 		case kindSecondary:
 			p := msg.Payload.(secondaryPayload)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/fifo"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -20,14 +21,14 @@ import (
 // so the forwarding order at a site always equals its commit order.
 type dagwtEngine struct {
 	base
-	queue chan queuedMsg
+	queue *fifo.Queue[queuedMsg]
 	prog  *watch.Progress
 }
 
 func newDAGWT(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *dagwtEngine {
 	e := &dagwtEngine{
 		base:  newBase(cfg, DAGWT, id, tr),
-		queue: make(chan queuedMsg, 1<<16),
+		queue: fifo.New[queuedMsg](),
 		prog:  cfg.Watch.Queue(id, "fifo"),
 	}
 	e.recover()
@@ -51,10 +52,10 @@ func (e *dagwtEngine) recover() {
 	for _, r := range rec.Receipts {
 		e.obs.fifoDepth.Inc()
 		e.prog.Push()
-		e.queue <- queuedMsg{msg: comm.Message{
+		e.queue.Push(queuedMsg{msg: comm.Message{
 			From: r.From, To: e.id, Kind: kindSecondary, Span: r.Span,
 			Payload: secondaryPayload{TID: r.TID, TS: r.TS, Writes: r.Writes},
-		}}
+		}})
 	}
 }
 
@@ -117,7 +118,7 @@ func (e *dagwtEngine) Handle(msg comm.Message) {
 		e.recTransport(msg, msg.Span.TID)
 		e.obs.fifoDepth.Inc()
 		e.prog.Push()
-		e.queue <- queuedMsg{msg: msg, at: e.phaseClock()}
+		e.queue.Push(queuedMsg{msg: msg, at: e.phaseClock()})
 	default:
 		panic("core: DAG(WT) received unexpected message kind")
 	}
@@ -128,20 +129,18 @@ func (e *dagwtEngine) Handle(msg comm.Message) {
 // forwarded onward, preserving receipt order.
 func (e *dagwtEngine) applier() {
 	for {
-		select {
-		case q := <-e.queue:
-			e.obs.fifoDepth.Dec()
-			e.prog.Pop()
-			p := q.msg.Payload.(secondaryPayload)
-			e.phaseSince(metrics.PhaseQueueWait, q.msg.From, p.TID, q.at)
-			if e.applySecondary(p, q.msg.Span) {
-				e.pendDone()
-			} else {
-				return // stopped mid-retry
-			}
-		case <-e.stop:
+		q, ok := e.queue.Pop(e.stop)
+		if !ok {
 			return
 		}
+		e.obs.fifoDepth.Dec()
+		e.prog.Pop()
+		p := q.msg.Payload.(secondaryPayload)
+		e.phaseSince(metrics.PhaseQueueWait, q.msg.From, p.TID, q.at)
+		if !e.applySecondary(p, q.msg.Span) {
+			return // stopped mid-retry
+		}
+		e.pendDone()
 	}
 }
 

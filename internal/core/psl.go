@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/contend"
+	"repro/internal/fifo"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -31,7 +32,7 @@ type pslEngine struct {
 	// protocols' single secondary applier, one server goroutine works it:
 	// a site is one database instance, and remote requests contend for it
 	// the way they did for the prototype's DataBlitz server.
-	reads chan queuedMsg
+	reads *fifo.Queue[queuedMsg]
 
 	// released tombstones transactions whose remote locks were already
 	// released, so a lock granted to a late-racing read request is not
@@ -49,7 +50,7 @@ type pslEngine struct {
 func newPSL(cfg *SharedConfig, id model.SiteID, tr comm.Transport) *pslEngine {
 	e := &pslEngine{
 		base:     newBase(cfg, PSL, id, tr),
-		reads:    make(chan queuedMsg, 1<<16),
+		reads:    fifo.New[queuedMsg](),
 		released: make(map[model.TxnID]bool),
 		prog:     cfg.Watch.Queue(id, "reads"),
 	}
@@ -85,14 +86,13 @@ func (e *pslEngine) Stop() { e.halt() }
 
 func (e *pslEngine) readServer() {
 	for {
-		select {
-		case q := <-e.reads:
-			e.obs.readsDepth.Dec()
-			e.prog.Pop()
-			e.serveRead(q.msg, q.at)
-		case <-e.stop:
+		q, ok := e.reads.Pop(e.stop)
+		if !ok {
 			return
 		}
+		e.obs.readsDepth.Dec()
+		e.prog.Pop()
+		e.serveRead(q.msg, q.at)
 	}
 }
 
@@ -206,7 +206,7 @@ func (e *pslEngine) Handle(msg comm.Message) {
 		// transport goroutine.
 		e.obs.readsDepth.Inc()
 		e.prog.Push()
-		e.reads <- queuedMsg{msg: msg, at: e.phaseClock()}
+		e.reads.Push(queuedMsg{msg: msg, at: e.phaseClock()})
 	case kindPSLRelease:
 		tid := msg.Payload.(pslReleasePayload).TID
 		e.recTransport(msg, tid)

@@ -298,11 +298,11 @@ type Watchdog struct {
 	// Contention watch state: a ring of recent lock_wait durations (fed
 	// from PhaseLatency events) and the cumulative commit/abort tally,
 	// compared against LockWaitP99 / AbortRatePct each tick.
-	lockWaits   [lockWaitRing]int64 // repl:guardedby(mu)
-	lockWaitIdx int                 // repl:guardedby(mu)
-	lockWaitN   int                 // repl:guardedby(mu)
-	commits     uint64              // repl:guardedby(mu)
-	aborts      uint64              // repl:guardedby(mu)
+	lockWaits   [lockWaitRing]int64            // repl:guardedby(mu)
+	lockWaitIdx int                            // repl:guardedby(mu)
+	lockWaitN   int                            // repl:guardedby(mu)
+	commits     uint64                         // repl:guardedby(mu)
+	aborts      uint64                         // repl:guardedby(mu)
 	waitGraphs  func() []contend.SiteWaitGraph // repl:guardedby(mu)
 	waitDumps   []string                       // repl:guardedby(mu)
 
@@ -684,23 +684,18 @@ func (w *Watchdog) tick() {
 		}
 	}
 
-	// Diff against the active set.
-	var newly, cleared []*Alert
+	// Diff against the active set. Cleared alerts leave now; newly raised
+	// ones stay unpublished until their dumps are written, below.
+	newly := make(map[alertKey]*Alert)
 	for k, a := range want {
 		if cur, ok := w.active[k]; ok {
 			cur.Age = a.Age
 			continue
 		}
 		a.Raised = now
-		w.active[k] = a
-		w.history = append(w.history, a)
-		w.raised[a.Kind]++
-		if w.reg != nil {
-			w.reg.Counter("repl_watch_alerts_total",
-				obs.Label{Key: "kind", Value: a.Kind.String()}).Inc()
-		}
-		newly = append(newly, a)
+		newly[k] = a
 	}
+	var cleared []*Alert
 	for k, a := range w.active {
 		if _, ok := want[k]; !ok {
 			a.Cleared = now
@@ -708,10 +703,10 @@ func (w *Watchdog) tick() {
 			cleared = append(cleared, a)
 		}
 	}
-	w.obs.active.Set(int64(len(w.active)))
 
 	tr := w.tr
 	var dump []trace.Event
+	var dumpPath string
 	if len(newly) > 0 && w.opts.FlightDir != "" && len(w.dumps) < w.opts.MaxDumps && w.flightN > 0 {
 		dump = make([]trace.Event, 0, w.flightN)
 		start := 0
@@ -721,57 +716,70 @@ func (w *Watchdog) tick() {
 		for i := 0; i < w.flightN; i++ {
 			dump = append(dump, w.flight[(start+i)%len(w.flight)])
 		}
-		w.dumps = append(w.dumps, "") // reserve the slot; path filled below
+		for _, a := range newly {
+			dumpPath = filepath.Join(w.opts.FlightDir,
+				fmt.Sprintf("flight-%03d-%s.jsonl", len(w.dumps)+1, a.Kind))
+			break
+		}
 	}
-	dumpSlot := len(w.dumps) - 1
 
 	// A newly raised Contention alert additionally snapshots the wait-for
 	// graphs. The probe reaches into the engines' lock managers, so it
 	// runs after w.mu is released (same discipline as the trace records).
 	var waitProbe func() []contend.SiteWaitGraph
+	var waitPath string
 	for _, a := range newly {
 		if a.Kind == Contention && w.waitGraphs != nil &&
 			w.opts.FlightDir != "" && len(w.waitDumps) < w.opts.MaxDumps {
 			waitProbe = w.waitGraphs
-			w.waitDumps = append(w.waitDumps, "") // reserve; path filled below
+			waitPath = filepath.Join(w.opts.FlightDir, fmt.Sprintf("waitfor-%03d.jsonl", len(w.waitDumps)+1))
 			break
 		}
 	}
-	waitSlot := len(w.waitDumps) - 1
 	w.mu.Unlock()
 
-	// Outside the lock: trace events and the flight dump.
+	// Outside the lock: the dumps. Only this goroutine ticks, so the dump
+	// counts read above still hold when the paths are appended below.
+	if dump != nil && w.writeDump(dumpPath, dump) != nil {
+		dumpPath = ""
+	}
+	if waitProbe != nil && w.writeWaitDump(waitPath, waitProbe()) != nil {
+		waitPath = ""
+	}
+
+	// Publish each new alert together with its dumps, so a reader that
+	// sees the alert also sees what was written for it.
+	w.mu.Lock()
+	for k, a := range newly {
+		w.active[k] = a
+		w.history = append(w.history, a)
+		w.raised[a.Kind]++
+		if w.reg != nil {
+			w.reg.Counter("repl_watch_alerts_total",
+				obs.Label{Key: "kind", Value: a.Kind.String()}).Inc()
+		}
+	}
+	w.obs.active.Set(int64(len(w.active)))
+	if dump != nil {
+		w.dumps = append(w.dumps, dumpPath)
+		if dumpPath != "" {
+			w.obs.dumps.Inc()
+		}
+	}
+	if waitProbe != nil {
+		w.waitDumps = append(w.waitDumps, waitPath)
+		if waitPath != "" {
+			w.obs.dumps.Inc()
+		}
+	}
+	w.mu.Unlock()
+
+	// Trace events last: the recorder's sink is w.Ingest.
 	for _, a := range newly {
 		tr.Record(trace.WatchAlert, a.Site, a.Peer, a.TID, 0)
 	}
 	for _, a := range cleared {
 		tr.Record(trace.WatchClear, a.Site, a.Peer, a.TID, 0)
-	}
-	if dump != nil {
-		path := filepath.Join(w.opts.FlightDir,
-			fmt.Sprintf("flight-%03d-%s.jsonl", dumpSlot+1, newly[0].Kind))
-		if err := w.writeDump(path, dump); err != nil {
-			path = ""
-		}
-		w.mu.Lock()
-		w.dumps[dumpSlot] = path
-		if path != "" {
-			w.obs.dumps.Inc()
-		}
-		w.mu.Unlock()
-	}
-	if waitProbe != nil {
-		gs := waitProbe()
-		path := filepath.Join(w.opts.FlightDir, fmt.Sprintf("waitfor-%03d.jsonl", waitSlot+1))
-		if err := w.writeWaitDump(path, gs); err != nil {
-			path = ""
-		}
-		w.mu.Lock()
-		w.waitDumps[waitSlot] = path
-		if path != "" {
-			w.obs.dumps.Inc()
-		}
-		w.mu.Unlock()
 	}
 }
 
