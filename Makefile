@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check chaos watch-stress perfbench-test lint cover bench bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
+.PHONY: all build vet test race check chaos watch-stress perfbench-test lint cover bench micro-smoke bench-smoke telemetry-smoke recovery-smoke contention-smoke freshness-smoke fuzz experiments shapes examples clean
 
 all: check
 
@@ -42,10 +42,10 @@ lint:
 
 # The pre-merge gate: compile, static checks, full test suite, the race
 # detector, the chaos suite, the watchdog stress run, the benchmark
-# harness's own tests, the protocol-invariant lint, the crash-recovery,
-# contention- and freshness-observatory smokes, and the benchmark smoke
-# gate.
-check: build vet test race chaos watch-stress perfbench-test lint recovery-smoke contention-smoke freshness-smoke bench-smoke
+# harness's own tests, the protocol-invariant lint, one iteration of each
+# layer microbenchmark, the crash-recovery, contention- and
+# freshness-observatory smokes, and the benchmark smoke gate.
+check: build vet test race chaos watch-stress perfbench-test lint micro-smoke recovery-smoke contention-smoke freshness-smoke bench-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -53,6 +53,13 @@ cover:
 # One benchmark iteration per paper artifact plus the micro-benchmarks.
 bench:
 	$(GO) test -run NONE -bench . -benchmem -benchtime 1x ./...
+
+# One iteration of every layer microbenchmark (docs/BENCHMARKING.md), so
+# a benchmark that no longer compiles or panics fails the gate. It checks
+# that they run, not how fast.
+MICRO_PKGS = ./internal/hist ./internal/metrics ./internal/fifo ./internal/lock ./internal/txn ./internal/comm ./internal/ts
+micro-smoke:
+	$(GO) test -run NONE -bench . -benchtime 1x $(MICRO_PKGS)
 
 # Benchmark observatory (docs/BENCHMARKING.md): run the smoke suite with
 # pprof capture into $(BENCH_DIR), then gate the fresh snapshot against

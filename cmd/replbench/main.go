@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fresh"
+	"repro/internal/hist"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -666,12 +667,9 @@ func summarizeTrace(path string) error {
 		sort.Ints(protos)
 		fmt.Printf("%-10s %8s %12s %12s %12s\n", "protocol", "samples", "p50", "p95", "max")
 		for _, p := range protos {
-			ds := delays[uint8(p)]
+			h := delays[uint8(p)]
 			fmt.Printf("%-10s %8d %12s %12s %12s\n",
-				core.Protocol(p), len(ds),
-				trace.Quantile(ds, 0.50).Round(time.Microsecond),
-				trace.Quantile(ds, 0.95).Round(time.Microsecond),
-				trace.Quantile(ds, 1).Round(time.Microsecond))
+				core.Protocol(p), h.Count(), quantileUS(h, 0.50), quantileUS(h, 0.95), quantileUS(h, 1))
 		}
 	}
 	summarizePhases(events)
@@ -697,7 +695,7 @@ func summarizeFreshness(events []trace.Event) {
 	}
 	type tally struct {
 		fresh, stale int
-		behind       []time.Duration
+		behind       hist.Histogram // ns
 	}
 	byProto := make(map[uint8]*tally)
 	for _, ev := range events {
@@ -711,7 +709,7 @@ func summarizeFreshness(events []trace.Event) {
 		}
 		if ev.Phase == "stale" {
 			t.stale++
-			t.behind = append(t.behind, time.Duration(ev.Dur))
+			t.behind.Record(uint64(max(ev.Dur, 0)))
 		} else {
 			t.fresh++
 		}
@@ -730,8 +728,7 @@ func summarizeFreshness(events []trace.Event) {
 		t := byProto[uint8(p)]
 		fmt.Printf("%-10s %8d %8d %8d %12s %12s\n",
 			core.Protocol(p), t.fresh+t.stale, t.fresh, t.stale,
-			trace.Quantile(t.behind, 0.95).Round(time.Microsecond),
-			trace.Quantile(t.behind, 1).Round(time.Microsecond))
+			quantileUS(&t.behind, 0.95), quantileUS(&t.behind, 1))
 	}
 }
 
@@ -763,10 +760,15 @@ func summarizeContention(events []trace.Event) {
 // latency quantiles, giving traces the same phase-attribution view the
 // in-process metrics Report carries.
 func summarizePhases(events []trace.Event) {
-	byPhase := make(map[string][]time.Duration)
+	byPhase := make(map[string]*hist.Histogram)
 	for _, ev := range events {
 		if ev.Kind == trace.PhaseLatency && ev.Phase != "" {
-			byPhase[ev.Phase] = append(byPhase[ev.Phase], time.Duration(ev.Dur))
+			h := byPhase[ev.Phase]
+			if h == nil {
+				h = &hist.Histogram{}
+				byPhase[ev.Phase] = h
+			}
+			h.Record(uint64(max(ev.Dur, 0)))
 		}
 	}
 	if len(byPhase) == 0 {
@@ -780,13 +782,16 @@ func summarizePhases(events []trace.Event) {
 	fmt.Printf("\nphase latency attribution:\n")
 	fmt.Printf("%-14s %8s %12s %12s %12s\n", "phase", "samples", "p50", "p95", "max")
 	for _, n := range names {
-		ds := byPhase[n]
+		h := byPhase[n]
 		fmt.Printf("%-14s %8d %12s %12s %12s\n",
-			n, len(ds),
-			trace.Quantile(ds, 0.50).Round(time.Microsecond),
-			trace.Quantile(ds, 0.95).Round(time.Microsecond),
-			trace.Quantile(ds, 1).Round(time.Microsecond))
+			n, h.Count(), quantileUS(h, 0.50), quantileUS(h, 0.95), quantileUS(h, 1))
 	}
+}
+
+// quantileUS renders the q-quantile of a nanosecond histogram as a
+// duration rounded to the microsecond, for the trace summary tables.
+func quantileUS(h *hist.Histogram, q float64) time.Duration {
+	return time.Duration(h.Quantile(q)).Round(time.Microsecond)
 }
 
 // printStats shows how the §5.2 data-distribution scheme behaves at the

@@ -62,6 +62,13 @@ func runAndCheck(t *testing.T, cfg Config) {
 			t.Errorf("convergence violated: %v", err)
 		}
 	}
+	if cfg.TrackPropagation && cfg.Protocol.Propagates() {
+		// Lazily propagated updates carry their origin's commit stamp to
+		// every applying site, so applies must yield delay samples.
+		if r := c.Metrics.Snapshot(cfg.Workload.Sites); r.Secondaries > 0 && r.MaxPropDelay == 0 {
+			t.Errorf("%d secondaries applied but no propagation-delay sample recorded", r.Secondaries)
+		}
+	}
 	t.Logf("%v: %v", cfg.Protocol, rep)
 }
 

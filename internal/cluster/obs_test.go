@@ -30,8 +30,8 @@ func familySum(snap map[string]int64, family string) int64 {
 
 // TestTracedBackEdgeCrossCheck is the end-to-end acceptance run: a 9-site
 // BackEdge cluster traced from commit to every replica application. The
-// trace must survive a JSONL round trip, PathOf must reconstruct each
-// committed transaction's complete propagation tree, the trace-derived
+// trace must survive a JSONL round trip, BuildSpanTrees must reconstruct
+// each committed transaction's complete propagation tree, the trace-derived
 // p95 propagation delay must agree with the metrics collector's, and the
 // live registry's counters must match the report exactly.
 func TestTracedBackEdgeCrossCheck(t *testing.T) {
@@ -97,22 +97,28 @@ func TestTracedBackEdgeCrossCheck(t *testing.T) {
 			forwards[ev.TID]++
 		}
 	}
+	trees := trace.BuildSpanTrees(events)
 	var propagated int
 	for tid := range committed {
 		if forwards[tid] == 0 {
 			continue
 		}
-		root, err := trace.PathOf(events, tid)
-		if err != nil {
-			t.Fatalf("PathOf(%v): %v", tid, err)
+		tree := trees[tid]
+		if tree == nil || tree.Root == nil {
+			t.Fatalf("BuildSpanTrees: no rooted tree for %v", tid)
 		}
 		inTree := make(map[model.SiteID]bool)
-		for _, s := range root.Sites() {
-			inTree[s] = true
+		var walk func(n *trace.SpanNode)
+		walk = func(n *trace.SpanNode) {
+			inTree[n.Site] = true
+			for _, c := range n.Children {
+				walk(c)
+			}
 		}
+		walk(tree.Root)
 		for _, s := range applies[tid] {
 			if !inTree[s] {
-				t.Fatalf("PathOf(%v) tree %v misses applying site s%d\n%s", tid, root.Sites(), s, root)
+				t.Fatalf("span tree of %v misses applying site s%d\n%s", tid, s, tree.Structure())
 			}
 		}
 		if len(applies[tid]) > 0 {
@@ -127,10 +133,13 @@ func TestTracedBackEdgeCrossCheck(t *testing.T) {
 	// (both measure commit-to-apply, on independent clock reads; allow
 	// scheduling noise).
 	delays := trace.PropDelays(events)[uint8(core.BackEdge)]
-	if len(delays) < 20 {
-		t.Fatalf("only %d propagation samples in trace", len(delays))
+	if delays == nil {
+		t.Fatal("no propagation samples in trace")
 	}
-	traceP95 := trace.Quantile(delays, 0.95)
+	if delays.Count() < 20 {
+		t.Fatalf("only %d propagation samples in trace", delays.Count())
+	}
+	traceP95 := time.Duration(delays.Quantile(0.95))
 	repP95 := rep.P95PropDelay
 	hi := traceP95
 	if repP95 > hi {

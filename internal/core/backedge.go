@@ -267,6 +267,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		})
 		err := t.Commit()
 		if err == nil {
+			octx.Committed = e.phaseClock()
 			e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 			e.noteCommitted(writes)
 			e.forward(octx, writes)
@@ -276,7 +277,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 			e.recAbort(tid, contend.Classify(err))
 			return err
 		}
-		e.recCommit(tid, start)
+		e.recCommit(start)
 		return nil
 	}
 
@@ -406,6 +407,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 	})
 	err := t.Commit()
 	if err == nil {
+		octx.Committed = e.phaseClock()
 		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 		e.noteCommitted(writes)
 		e.forward(octx, writes)
@@ -415,7 +417,7 @@ func (e *backedgeEngine) Execute(ops []model.Op) error {
 		e.recAbort(tid, contend.Classify(err))
 		return err
 	}
-	e.recCommit(tid, start)
+	e.recCommit(start)
 	return nil
 }
 

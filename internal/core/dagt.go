@@ -210,6 +210,7 @@ func (e *dagtEngine) Execute(ops []model.Op) error {
 	})
 	err := t.Commit()
 	if err == nil {
+		octx.Committed = e.phaseClock()
 		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 		e.noteCommitted(writes)
 		e.schedule(octx, tsT, writes)
@@ -219,7 +220,7 @@ func (e *dagtEngine) Execute(ops []model.Op) error {
 		e.recAbort(tid, contend.Classify(err))
 		return err
 	}
-	e.recCommit(tid, start)
+	e.recCommit(start)
 	return nil
 }
 

@@ -84,6 +84,7 @@ func (e *dagwtEngine) Execute(ops []model.Op) error {
 	})
 	err := t.Commit()
 	if err == nil {
+		octx.Committed = e.phaseClock()
 		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 		e.noteCommitted(writes)
 		e.forward(octx, writes)
@@ -93,7 +94,7 @@ func (e *dagwtEngine) Execute(ops []model.Op) error {
 		e.recAbort(tid, contend.Classify(err))
 		return err
 	}
-	e.recCommit(tid, start)
+	e.recCommit(start)
 	return nil
 }
 

@@ -97,6 +97,7 @@ func (e *naiveEngine) Execute(ops []model.Op) error {
 	})
 	err := t.Commit()
 	if err == nil {
+		octx.Committed = e.phaseClock()
 		e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 		e.noteCommitted(writes)
 		if len(writes) > 0 {
@@ -108,7 +109,7 @@ func (e *naiveEngine) Execute(ops []model.Op) error {
 		e.recAbort(tid, contend.Classify(err))
 		return err
 	}
-	e.recCommit(tid, start)
+	e.recCommit(start)
 	return nil
 }
 

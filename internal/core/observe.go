@@ -170,9 +170,9 @@ func (b *base) tracing() bool { return b.cfg.Trace != nil }
 // subtransaction: run collector, live registry. (The TxnCommit trace
 // event is recorded separately, inside the commit critical section, so
 // it is ordered before the transaction's forward events.)
-func (b *base) recCommit(tid model.TxnID, start time.Time) {
+func (b *base) recCommit(start time.Time) {
 	//lint:allow nodeterminism latency observation only; the measured duration never branches protocol logic
-	b.cfg.Metrics.TxnCommitted(tid, time.Since(start))
+	b.cfg.Metrics.TxnCommitted(time.Since(start))
 	b.obs.committed.Inc()
 }
 
@@ -194,9 +194,10 @@ func (b *base) recAbort(tid model.TxnID, reason contend.AbortReason) {
 }
 
 // recApplied folds the bookkeeping for a committed secondary
-// subtransaction, attributed to this site's span within sc.
+// subtransaction, attributed to this site's span within sc; sc's origin
+// commit stamp becomes the run's propagation-delay sample.
 func (b *base) recApplied(sc model.SpanContext) {
-	b.cfg.Metrics.SecondaryApplied(sc.TID)
+	b.cfg.Metrics.SecondaryApplied(sc.Committed)
 	b.obs.applied.Inc()
 	b.traceCtx(trace.SecondaryApplied, model.NoSite, sc)
 }

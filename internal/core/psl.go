@@ -174,7 +174,7 @@ func (e *pslEngine) Execute(ops []model.Op) error {
 	}
 	e.traceCtx(trace.TxnCommit, model.NoSite, octx)
 	e.releaseRemotes(octx, remotes)
-	e.recCommit(tid, start)
+	e.recCommit(start)
 	return nil
 }
 

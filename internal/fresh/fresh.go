@@ -8,8 +8,8 @@
 //     was, via Tracker.CertifyRead;
 //   - continuous staleness distributions: per-replica version lag and
 //     time lag sampled on every secondary apply (Tracker.NoteApply) and
-//     by a low-overhead periodic probe, kept as bounded log2 histograms
-//     rather than a running max;
+//     by a low-overhead periodic probe, kept as bounded log-linear
+//     histograms (internal/hist) rather than a running max;
 //   - propagation waterfalls: per-commit commit→apply delay attributed
 //     to per-hop segments by joining the trace's lifecycle and
 //     phase-latency events offline (BuildWaterfalls, waterfall.go).
@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 )
 
@@ -96,17 +97,18 @@ func (s *shard) item(id model.ItemID) *itemState {
 }
 
 // siteStat accumulates one site's staleness and certificate
-// distributions. Bounded by construction: four fixed-size histograms and
-// a handful of counters, regardless of run length.
+// distributions. Bounded by construction: four histograms, whose storage
+// grows only with the magnitudes reached, and a handful of counters,
+// regardless of run length.
 type siteStat struct {
 	mu         sync.Mutex
 	applies    uint64
-	versionLag hist // replica version lag, sampled on apply and by the probe
-	timeLagUS  hist // replica time lag in µs, ditto
+	versionLag hist.Histogram // replica version lag, sampled on apply and by the probe
+	timeLagUS  hist.Histogram // replica time lag in µs, ditto
 	readsFresh uint64
 	readsStale uint64
-	readVerLag hist // versions behind at read time
-	readLagUS  hist // µs behind at read time
+	readVerLag hist.Histogram // versions behind at read time
+	readLagUS  hist.Histogram // µs behind at read time
 }
 
 // Cert is one read-freshness certificate: how far behind the primary the
@@ -224,8 +226,8 @@ func (t *Tracker) NoteApply(site model.SiteID, item model.ItemID) {
 	ss := t.site(site)
 	ss.mu.Lock()
 	ss.applies++
-	ss.versionLag.add(lag)
-	ss.timeLagUS.add(clampUS(behind))
+	ss.versionLag.Record(lag)
+	ss.timeLagUS.Record(clampUS(behind))
 	ss.mu.Unlock()
 }
 
@@ -271,8 +273,8 @@ func (t *Tracker) recordCert(site model.SiteID, c Cert) {
 	} else {
 		ss.readsFresh++
 	}
-	ss.readVerLag.add(c.Versions)
-	ss.readLagUS.add(clampUS(c.Behind))
+	ss.readVerLag.Record(c.Versions)
+	ss.readLagUS.Record(clampUS(c.Behind))
 	ss.mu.Unlock()
 }
 
@@ -347,8 +349,8 @@ func (t *Tracker) probe() {
 	for _, ps := range samples {
 		ss := t.site(ps.site)
 		ss.mu.Lock()
-		ss.versionLag.add(ps.lag)
-		ss.timeLagUS.add(clampUS(ps.behind))
+		ss.versionLag.Record(ps.lag)
+		ss.timeLagUS.Record(clampUS(ps.behind))
 		ss.mu.Unlock()
 	}
 }

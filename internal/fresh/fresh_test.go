@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -122,31 +123,44 @@ func TestProbeSamplesLaggingReplicas(t *testing.T) {
 	}
 }
 
+// TestHistPercentileBounds pins the freshness distributions' error
+// bound: version lags (small integers) come back exact, larger values
+// within 1%, every percentile inside [min, max], and merging into an
+// empty histogram leaves the distribution unchanged.
+// TestHistPercentileBounds pins the freshness distributions' error
+// bound: version lags (small integers) come back exact, larger values
+// within 1%, every percentile inside [min, max], and merging into an
+// empty histogram leaves the distribution unchanged.
 func TestHistPercentileBounds(t *testing.T) {
-	var h hist
-	if got := h.percentile(0.95); got != 0 {
-		t.Fatalf("empty hist p95=%d, want 0", got)
+	var h hist.Histogram
+	if got := dist(&h); got != (Dist{}) {
+		t.Fatalf("empty dist = %+v, want zero", got)
 	}
 	for i := 0; i < 99; i++ {
-		h.add(10)
+		h.Record(10)
 	}
-	h.add(1000)
-	d := h.dist()
+	h.Record(1000)
+	d := dist(&h)
 	if d.Count != 100 || d.Max != 1000 {
 		t.Fatalf("count/max=%d/%d, want 100/1000", d.Count, d.Max)
 	}
-	// p50 lands in 10's bucket [8,16): upper bound 15. Conservative
-	// within 2×, never below the true value.
-	if d.P50 < 10 || d.P50 > 15 {
-		t.Fatalf("p50=%d, want in [10,15]", d.P50)
+	if d.P50 != 10 || d.P95 != 10 {
+		t.Fatalf("p50/p95=%d/%d, want exactly 10", d.P50, d.P95)
 	}
-	// p99.. rank 100 hits the max sample's bucket, capped by exact max.
-	if d.P99 > 1000 {
-		t.Fatalf("p99=%d exceeds exact max", d.P99)
+	// p99 is rank 99 of 100: still the 10s.
+	if d.P99 != 10 {
+		t.Fatalf("p99=%d, want 10", d.P99)
 	}
-	var m hist
-	m.merge(&h)
-	if m.dist() != d {
+	var lag hist.Histogram
+	for i := 0; i < 100; i++ {
+		lag.Record(uint64(5000 + i*100)) // µs, 5 ms to 14.9 ms
+	}
+	if p95 := dist(&lag).P95; p95 < 14300*99/100 || p95 > 14300*101/100 {
+		t.Fatalf("p95=%d, want 14300 ±1%%", p95)
+	}
+	var m hist.Histogram
+	m.Merge(&h)
+	if dist(&m) != d {
 		t.Fatal("merge into empty hist changed the distribution")
 	}
 }

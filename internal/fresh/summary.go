@@ -1,98 +1,29 @@
 package fresh
 
 import (
-	"math"
-	"math/bits"
 	"sort"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 )
 
-// histBuckets bounds every histogram: bucket 0 counts exact zeros and
-// bucket i counts values whose bit length is i (i.e. [2^(i-1), 2^i)).
-// 48 buckets cover ~8.9 years in microseconds, far beyond any lag a run
-// can accumulate.
-const histBuckets = 48
-
-// hist is a bounded log2 histogram — the "distribution, not a running
-// max" the observatory is built on. Fixed size regardless of sample
-// count; percentiles resolve to the matched bucket's upper bound (capped
-// by the exact max), so they are conservative within a factor of two.
-type hist struct {
-	count   uint64
-	sum     uint64
-	max     uint64
-	buckets [histBuckets]uint64
-}
-
-func (h *hist) add(v uint64) {
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	b := bits.Len64(v)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.buckets[b]++
-}
-
-// merge folds o into h bucket-wise.
-func (h *hist) merge(o *hist) {
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
+// dist summarizes h: Count, Mean and Max are exact, the percentiles
+// within 1% (internal/hist).
+func dist(h *hist.Histogram) Dist {
+	return Dist{
+		Count: h.Count(),
+		Mean:  h.Mean(),
+		P50:   h.Quantile(0.50),
+		P95:   h.Quantile(0.95),
+		P99:   h.Quantile(0.99),
+		Max:   h.Max(),
 	}
 }
 
-// percentile returns the nearest-rank p-quantile's bucket upper bound,
-// capped by the exact maximum. Zero samples yield zero.
-func (h *hist) percentile(p float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(h.count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			if i == 0 {
-				return 0
-			}
-			up := uint64(1)<<uint(i) - 1
-			if up > h.max {
-				up = h.max
-			}
-			return up
-		}
-	}
-	return h.max
-}
-
-func (h *hist) dist() Dist {
-	d := Dist{
-		Count: h.count,
-		P50:   h.percentile(0.50),
-		P95:   h.percentile(0.95),
-		P99:   h.percentile(0.99),
-		Max:   h.max,
-	}
-	if h.count > 0 {
-		d.Mean = float64(h.sum) / float64(h.count)
-	}
-	return d
-}
-
-// Dist summarizes one bounded histogram. P50/P95/P99 are bucket upper
-// bounds (conservative within 2×); Mean and Max are exact.
+// Dist summarizes one distribution over the whole run. P50/P95/P99 are
+// within 1% of the exact nearest-rank percentile, and exact for values
+// below 128 (every version lag a run plausibly reaches); Count, Mean and
+// Max are exact.
 type Dist struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -164,23 +95,23 @@ func (t *Tracker) Summarize() *Summary {
 	t.siteMu.RUnlock()
 
 	out := &Summary{}
-	var vl, tl, rvl, rtl hist
+	var vl, tl, rvl, rtl hist.Histogram
 	for id, ss := range sites {
 		ss.mu.Lock()
 		row := SiteFreshness{
 			Site:           model.SiteID(id),
 			Applies:        ss.applies,
-			VersionLag:     ss.versionLag.dist(),
-			TimeLagUS:      ss.timeLagUS.dist(),
+			VersionLag:     dist(&ss.versionLag),
+			TimeLagUS:      dist(&ss.timeLagUS),
 			ReadsFresh:     ss.readsFresh,
 			ReadsStale:     ss.readsStale,
-			ReadVersionLag: ss.readVerLag.dist(),
-			ReadTimeLagUS:  ss.readLagUS.dist(),
+			ReadVersionLag: dist(&ss.readVerLag),
+			ReadTimeLagUS:  dist(&ss.readLagUS),
 		}
-		vl.merge(&ss.versionLag)
-		tl.merge(&ss.timeLagUS)
-		rvl.merge(&ss.readVerLag)
-		rtl.merge(&ss.readLagUS)
+		vl.Merge(&ss.versionLag)
+		tl.Merge(&ss.timeLagUS)
+		rvl.Merge(&ss.readVerLag)
+		rtl.Merge(&ss.readLagUS)
 		ss.mu.Unlock()
 		if row.Applies == 0 && row.ReadsFresh == 0 && row.ReadsStale == 0 && row.VersionLag.Count == 0 {
 			continue
@@ -191,9 +122,9 @@ func (t *Tracker) Summarize() *Summary {
 		out.ReadsStale += row.ReadsStale
 	}
 	sort.Slice(out.Sites, func(i, j int) bool { return out.Sites[i].Site < out.Sites[j].Site })
-	out.VersionLag = vl.dist()
-	out.TimeLagUS = tl.dist()
-	out.ReadVersionLag = rvl.dist()
-	out.ReadTimeLagUS = rtl.dist()
+	out.VersionLag = dist(&vl)
+	out.TimeLagUS = dist(&tl)
+	out.ReadVersionLag = dist(&rvl)
+	out.ReadTimeLagUS = dist(&rtl)
 	return out
 }

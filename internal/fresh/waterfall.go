@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -54,7 +55,7 @@ type wfKey struct {
 // wfAgg accumulates one bucket's per-segment histograms.
 type wfAgg struct {
 	count uint64
-	segs  [5]hist // indexed like SegmentNames
+	segs  [5]hist.Histogram // indexed like SegmentNames
 }
 
 // siteTID keys per-(transaction, site) lookups.
@@ -70,15 +71,15 @@ type siteTID struct {
 // apply, keyed by transaction and site). Works on any JSONL trace —
 // live recorder snapshot, replbench -trace output, or a flight dump.
 func BuildWaterfalls(events []trace.Event) []*Waterfall {
-	commitAt := make(map[model.TxnID]int64)
+	committedAt := make(map[model.TxnID]int64)
 	commitSite := make(map[model.TxnID]model.SiteID)
 	enqueuedAt := make(map[siteTID]int64)
 	phaseSum := make(map[siteTID][3]int64) // queue_wait, lock_wait, apply
 	for _, ev := range events {
 		switch ev.Kind {
 		case trace.TxnCommit:
-			if _, ok := commitAt[ev.TID]; !ok {
-				commitAt[ev.TID] = ev.T
+			if _, ok := committedAt[ev.TID]; !ok {
+				committedAt[ev.TID] = ev.T
 				commitSite[ev.TID] = ev.Site
 			}
 		case trace.SecondaryEnqueued:
@@ -125,27 +126,27 @@ func BuildWaterfalls(events []trace.Event) []*Waterfall {
 
 		// enqueue: from the commit (at the origin) or the local receipt
 		// (at a relay) to the moment the forward left.
-		start, haveStart := commitAt[ev.TID], false
+		start, haveStart := committedAt[ev.TID], false
 		if commitSite[ev.TID] == ev.Site {
-			_, haveStart = commitAt[ev.TID]
+			_, haveStart = committedAt[ev.TID]
 		} else if t, ok := enqueuedAt[siteTID{ev.TID, ev.Site}]; ok {
 			start, haveStart = t, true
 		}
 		if haveStart {
-			a.segs[0].add(clampNStoUS(ev.T - start))
+			a.segs[0].Record(clampNStoUS(ev.T - start))
 		}
-		a.segs[1].add(clampNStoUS(recvT - ev.T)) // wire
+		a.segs[1].Record(clampNStoUS(recvT - ev.T)) // wire
 		sums := phaseSum[recvKey]
-		a.segs[2].add(clampNStoUS(sums[0])) // queue_wait
-		a.segs[3].add(clampNStoUS(sums[1])) // lock_wait
-		a.segs[4].add(clampNStoUS(sums[2])) // apply
+		a.segs[2].Record(clampNStoUS(sums[0])) // queue_wait
+		a.segs[3].Record(clampNStoUS(sums[1])) // lock_wait
+		a.segs[4].Record(clampNStoUS(sums[2])) // apply
 	}
 
 	out := make([]*Waterfall, 0, len(aggs))
 	for key, a := range aggs {
 		wf := &Waterfall{Proto: key.proto, From: key.from, To: key.to, Count: a.count}
 		for i, name := range SegmentNames {
-			wf.Segments = append(wf.Segments, Segment{Name: name, US: a.segs[i].dist()})
+			wf.Segments = append(wf.Segments, Segment{Name: name, US: dist(&a.segs[i])})
 		}
 		out = append(out, wf)
 	}

@@ -7,13 +7,11 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/model"
+	"repro/internal/hist"
 )
 
 // Phase identifies one segment of a transaction's lifetime for latency
@@ -74,6 +72,12 @@ func Phases() []Phase {
 
 // Collector accumulates one run's measurements. All methods are safe for
 // concurrent use; a nil *Collector is a valid no-op sink.
+//
+// Its memory does not grow with run length: every latency distribution
+// is a hist.Histogram (bounded relative error, storage only for the
+// magnitudes reached), and propagation delay needs no per-transaction
+// state because the origin's commit time travels with the update
+// (model.SpanContext.Committed) to the applying site.
 type Collector struct {
 	start atomic.Int64 // unix nanos
 	end   atomic.Int64
@@ -87,74 +91,44 @@ type Collector struct {
 	dummies     atomic.Uint64
 	retries     atomic.Uint64 // secondary subtransaction re-submissions
 
-	mu        sync.Mutex
-	resp      durStats
-	prop      durStats
-	phases    [numPhases]durStats
-	commitAt  map[model.TxnID]time.Time
-	keepTimes bool
+	trackProp bool
+
+	mu     sync.Mutex
+	resp   hist.Histogram // nanoseconds, like every distribution here
+	prop   hist.Histogram
+	phases [numPhases]hist.Histogram
 }
 
-type durStats struct {
-	count   uint64
-	sum     time.Duration
-	max     time.Duration
-	samples []time.Duration // capped reservoir for percentiles
+// record adds a duration sample to h, clamping negatives to zero.
+func record(h *hist.Histogram, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	h.Record(uint64(d))
 }
 
-const maxSamples = 1 << 16
-
-func (d *durStats) add(v time.Duration) {
-	d.count++
-	d.sum += v
-	if v > d.max {
-		d.max = v
+// summarize reports h as the exact count, total, mean and max plus
+// p50/p95/p99 estimates.
+func summarize(h *hist.Histogram) PhaseStats {
+	ps := PhaseStats{
+		Count: h.Count(),
+		Total: time.Duration(h.Sum()),
+		P50:   time.Duration(h.Quantile(0.50)),
+		P95:   time.Duration(h.Quantile(0.95)),
+		P99:   time.Duration(h.Quantile(0.99)),
+		Max:   time.Duration(h.Max()),
 	}
-	if len(d.samples) < maxSamples {
-		d.samples = append(d.samples, v)
+	if ps.Count > 0 {
+		ps.Mean = ps.Total / time.Duration(ps.Count)
 	}
+	return ps
 }
 
-func (d *durStats) mean() time.Duration {
-	if d.count == 0 {
-		return 0
-	}
-	return time.Duration(int64(d.sum) / int64(d.count))
-}
-
-// percentile returns the p-quantile (nearest-rank) of the reservoir.
-// Edge cases are pinned down explicitly: no samples yields zero (there is
-// no meaningful percentile of an empty run), a single sample IS every
-// percentile, and p outside (0, 1] clamps to the extremes rather than
-// indexing out of range.
-func (d *durStats) percentile(p float64) time.Duration {
-	switch len(d.samples) {
-	case 0:
-		return 0
-	case 1:
-		return d.samples[0]
-	}
-	s := append([]time.Duration(nil), d.samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// NewCollector returns a collector. If trackPropagation is true it keeps a
-// per-transaction commit-time map so replica applications can be turned
-// into propagation-delay samples (E7).
+// NewCollector returns a collector. If trackPropagation is true, replica
+// applications carrying their origin's commit stamp become
+// propagation-delay samples (E7).
 func NewCollector(trackPropagation bool) *Collector {
-	c := &Collector{keepTimes: trackPropagation}
-	if trackPropagation {
-		c.commitAt = make(map[model.TxnID]time.Time)
-	}
-	return c
+	return &Collector{trackProp: trackPropagation}
 }
 
 // Begin marks the start of the measured interval.
@@ -175,16 +149,13 @@ func (c *Collector) End() {
 
 // TxnCommitted records a committed primary subtransaction and its
 // response time.
-func (c *Collector) TxnCommitted(tid model.TxnID, resp time.Duration) {
+func (c *Collector) TxnCommitted(resp time.Duration) {
 	if c == nil {
 		return
 	}
 	c.committed.Add(1)
 	c.mu.Lock()
-	c.resp.add(resp)
-	if c.keepTimes {
-		c.commitAt[tid] = time.Now()
-	}
+	record(&c.resp, resp)
 	c.mu.Unlock()
 }
 
@@ -196,21 +167,23 @@ func (c *Collector) TxnAborted() {
 	c.aborted.Add(1)
 }
 
-// SecondaryApplied records a committed secondary subtransaction; the
-// elapsed time since the primary's commit becomes a propagation-delay
-// sample when tracking is enabled.
-func (c *Collector) SecondaryApplied(tid model.TxnID) {
+// SecondaryApplied records a committed secondary subtransaction whose
+// primary committed at committed (the origin's stamp, carried in the
+// update's span context). When tracking is enabled the elapsed time
+// since that stamp becomes a propagation-delay sample; a zero stamp —
+// an update forwarded without observation, or re-forwarded from a redo
+// log written before the commit — counts the apply but yields no sample.
+func (c *Collector) SecondaryApplied(committed time.Time) {
 	if c == nil {
 		return
 	}
 	c.secondaries.Add(1)
-	if !c.keepTimes {
+	if !c.trackProp || committed.IsZero() {
 		return
 	}
+	d := time.Since(committed)
 	c.mu.Lock()
-	if at, ok := c.commitAt[tid]; ok {
-		c.prop.add(time.Since(at))
-	}
+	record(&c.prop, d)
 	c.mu.Unlock()
 }
 
@@ -221,11 +194,8 @@ func (c *Collector) PhaseSample(p Phase, d time.Duration) {
 	if c == nil || p >= numPhases {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	c.mu.Lock()
-	c.phases[p].add(d)
+	record(&c.phases[p], d)
 	c.mu.Unlock()
 }
 
@@ -262,7 +232,9 @@ func (c *Collector) Retry() {
 	c.retries.Add(1)
 }
 
-// PhaseStats summarizes one phase's latency-attribution samples.
+// PhaseStats summarizes one phase's latency-attribution samples over the
+// whole run: Count, Total, Mean and Max are exact, and P50/P95/P99 are
+// within 1% of the exact nearest-rank percentile (internal/hist).
 type PhaseStats struct {
 	Count uint64
 	Total time.Duration
@@ -329,18 +301,19 @@ func (c *Collector) Snapshot(m int) Report {
 	defer c.mu.Unlock()
 	committed := c.committed.Load()
 	aborted := c.aborted.Load()
+	resp, prop := summarize(&c.resp), summarize(&c.prop)
 	r := Report{
 		Elapsed:       elapsed,
 		Committed:     committed,
 		Aborted:       aborted,
-		MeanResponse:  c.resp.mean(),
-		P50Response:   c.resp.percentile(0.50),
-		P95Response:   c.resp.percentile(0.95),
-		P99Response:   c.resp.percentile(0.99),
-		MaxResponse:   c.resp.max,
-		MeanPropDelay: c.prop.mean(),
-		P95PropDelay:  c.prop.percentile(0.95),
-		MaxPropDelay:  c.prop.max,
+		MeanResponse:  resp.Mean,
+		P50Response:   resp.P50,
+		P95Response:   resp.P95,
+		P99Response:   resp.P99,
+		MaxResponse:   resp.Max,
+		MeanPropDelay: prop.Mean,
+		P95PropDelay:  prop.P95,
+		MaxPropDelay:  prop.Max,
 		Messages:      c.messages.Load(),
 		RemoteReads:   c.remoteReads.Load(),
 		Secondaries:   c.secondaries.Load(),
@@ -354,22 +327,14 @@ func (c *Collector) Snapshot(m int) Report {
 		r.AbortRate = 100 * float64(aborted) / float64(committed+aborted)
 	}
 	for i := range c.phases {
-		d := &c.phases[i]
-		if d.count == 0 {
+		h := &c.phases[i]
+		if h.Count() == 0 {
 			continue
 		}
 		if r.Phases == nil {
 			r.Phases = make(map[string]PhaseStats)
 		}
-		r.Phases[Phase(i).String()] = PhaseStats{
-			Count: d.count,
-			Total: d.sum,
-			Mean:  d.mean(),
-			P50:   d.percentile(0.50),
-			P95:   d.percentile(0.95),
-			P99:   d.percentile(0.99),
-			Max:   d.max,
-		}
+		r.Phases[Phase(i).String()] = summarize(h)
 	}
 	return r
 }

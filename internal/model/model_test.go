@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func validPlacement(t *testing.T) *Placement {
 	t.Helper()
@@ -105,5 +108,24 @@ func TestOpString(t *testing.T) {
 	}
 	if got := (Op{Kind: OpWrite, Item: 3}).String(); got != "w[3]" {
 		t.Errorf("write op = %q", got)
+	}
+}
+
+// The origin's commit stamp rides along every hop unchanged, while the
+// span identity ignores it.
+func TestForkCarriesCommitStamp(t *testing.T) {
+	tid := TxnID{Site: 2, Seq: 7}
+	committed := time.Unix(1700000000, 123)
+	sc := SpanContext{TID: tid, Committed: committed}
+	hop := sc.Fork(2).Fork(5).Fork(6)
+	if !hop.Committed.Equal(committed) || hop.Hop != 3 {
+		t.Fatalf("after three forks: %+v, want the origin stamp and hop 3", hop)
+	}
+	unstamped := SpanContext{TID: tid}.Fork(2).Fork(5)
+	if got, want := hop.Parent, unstamped.Fork(6).Parent; got != want {
+		t.Fatalf("commit stamp changed span identity: %v vs %v", got, want)
+	}
+	if !unstamped.Committed.IsZero() {
+		t.Fatalf("unstamped context gained a stamp: %v", unstamped.Committed)
 	}
 }

@@ -1,6 +1,9 @@
 package model
 
-import "strconv"
+import (
+	"strconv"
+	"time"
+)
 
 // Causal span identifiers carried on the wire (docs/OBSERVABILITY.md).
 //
@@ -67,6 +70,13 @@ type SpanContext struct {
 	TID    TxnID
 	Parent SpanID
 	Hop    uint8
+	// Committed is the origin's primary commit time, stamped right after
+	// the commit succeeds when observation is on (zero otherwise) and
+	// carried unchanged across every hop, so the applying site can turn
+	// it into a propagation-delay sample without per-transaction state.
+	// Like comm.Message.SentAt it is observation only: it never branches
+	// protocol logic and takes no part in span identity.
+	Committed time.Time
 }
 
 // Zero reports whether the context is empty (no transaction attached).
@@ -84,7 +94,8 @@ func (c SpanContext) SpanAt(site SiteID) SpanID {
 }
 
 // Fork returns the context to stamp on messages sent onward from site:
-// the local span becomes the parent and the hop count advances.
+// the local span becomes the parent, the hop count advances, and the
+// origin's commit stamp is copied across.
 func (c SpanContext) Fork(site SiteID) SpanContext {
-	return SpanContext{TID: c.TID, Parent: c.SpanAt(site), Hop: c.Hop + 1}
+	return SpanContext{TID: c.TID, Parent: c.SpanAt(site), Hop: c.Hop + 1, Committed: c.Committed}
 }

@@ -5,13 +5,14 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 )
 
 // Span-tree reconstruction (docs/OBSERVABILITY.md). Every span-carrying
 // event names its span and its causal parent, so rebuilding the tree of
-// one transaction is exact bookkeeping — unlike the heuristic PathOf,
-// which infers edges from event timing and site adjacency.
+// one transaction is exact bookkeeping, with no inference from event
+// timing or site adjacency.
 
 // SpanNode is one node of a reconstructed span tree: one site's work on
 // behalf of one transaction, plus any auxiliary spans (retransmissions,
@@ -149,4 +150,39 @@ func (t *SpanTree) Structure() string {
 	}
 	walk(t.Root, 0)
 	return b.String()
+}
+
+// PropDelays extracts the commit-to-replica propagation delays from an
+// event stream, grouped by protocol, as nanosecond histograms: every
+// SecondaryApplied contributes (apply time − commit time) of its
+// transaction. Commits and applies are matched per (protocol, TID) so
+// concatenated traces from different runs do not cross-contaminate.
+func PropDelays(events []Event) map[uint8]*hist.Histogram {
+	type key struct {
+		proto uint8
+		tid   model.TxnID
+	}
+	commits := make(map[key]int64)
+	for _, ev := range events {
+		if ev.Kind == TxnCommit && !ev.TID.Zero() {
+			if _, ok := commits[key{ev.Proto, ev.TID}]; !ok {
+				commits[key{ev.Proto, ev.TID}] = ev.T
+			}
+		}
+	}
+	out := make(map[uint8]*hist.Histogram)
+	for _, ev := range events {
+		if ev.Kind != SecondaryApplied || ev.TID.Zero() {
+			continue
+		}
+		if ct, ok := commits[key{ev.Proto, ev.TID}]; ok && ev.T >= ct {
+			h := out[ev.Proto]
+			if h == nil {
+				h = &hist.Histogram{}
+				out[ev.Proto] = h
+			}
+			h.Record(uint64(ev.T - ct))
+		}
+	}
+	return out
 }

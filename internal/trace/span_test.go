@@ -64,6 +64,35 @@ func TestBuildSpanTreesReconstructsChain(t *testing.T) {
 	}
 }
 
+// A relay site that forwards without applying (it holds no copy of the
+// written item) still links the applying site below it to the root.
+func TestBuildSpanTreesKeepsRelaySite(t *testing.T) {
+	tid := model.TxnID{Site: 3, Seq: 4}
+	octx := model.SpanContext{TID: tid}
+	toRelay := octx.Fork(3)
+	toLeaf := toRelay.Fork(1)
+	rec := NewRecorder()
+	recCtx := func(k Kind, site, peer model.SiteID, sc model.SpanContext) {
+		rec.RecordSpan(k, site, peer, sc.TID, 1, sc.SpanAt(site), sc.Parent)
+	}
+	recCtx(TxnCommit, 3, model.NoSite, octx)
+	recCtx(SecondaryForwarded, 3, 1, octx)
+	recCtx(SecondaryForwarded, 1, 0, toRelay) // relay: no apply at s1
+	recCtx(SecondaryApplied, 0, model.NoSite, toLeaf)
+
+	tr := BuildSpanTrees(rec.Snapshot())[tid]
+	if tr == nil || tr.Root == nil || len(tr.Orphans) != 0 {
+		t.Fatalf("tree = %+v", tr)
+	}
+	if len(tr.Root.Children) != 1 || tr.Root.Children[0].Site != 1 || tr.Root.Children[0].Has(SecondaryApplied) {
+		t.Fatalf("relay child = %+v", tr.Root.Children)
+	}
+	want := "site=3\n  site=1\n    site=0 applied\n"
+	if got := tr.Structure(); got != want {
+		t.Fatalf("Structure:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestBuildSpanTreesSkipsUnattributed(t *testing.T) {
 	rec := NewRecorder()
 	rec.Record(DummySent, 0, 1, model.TxnID{}, 2)                 // zero TID

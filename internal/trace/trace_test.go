@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/model"
 )
 
@@ -116,74 +117,6 @@ func TestReadJSONLSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Synthetic three-hop chain: s0 commits, forwards to s1; s1 applies and
-// forwards to s2; s2 applies. PathOf must rebuild the chain with the
-// per-hop latencies.
-func TestPathOfChain(t *testing.T) {
-	id := tid(0, 1)
-	events := []Event{
-		{T: 100, Kind: TxnCommit, Site: 0, Peer: model.NoSite, TID: id},
-		{T: 110, Kind: SecondaryForwarded, Site: 0, Peer: 1, TID: id},
-		{T: 150, Kind: SecondaryEnqueued, Site: 1, Peer: 0, TID: id},
-		{T: 200, Kind: SecondaryApplied, Site: 1, Peer: model.NoSite, TID: id},
-		{T: 210, Kind: SecondaryForwarded, Site: 1, Peer: 2, TID: id},
-		{T: 400, Kind: SecondaryApplied, Site: 2, Peer: model.NoSite, TID: id},
-	}
-	root, err := PathOf(events, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Site != 0 || root.At != 100 || len(root.Children) != 1 {
-		t.Fatalf("root = %+v", root)
-	}
-	c1 := root.Children[0]
-	if c1.Site != 1 || !c1.Applied || c1.Hop != 90*time.Nanosecond {
-		t.Fatalf("hop1 = %+v", c1)
-	}
-	if len(c1.Children) != 1 || c1.Children[0].Site != 2 || c1.Children[0].Hop != 190*time.Nanosecond {
-		t.Fatalf("hop2 = %+v", c1.Children)
-	}
-	sites := root.Sites()
-	if len(sites) != 3 || sites[0] != 0 || sites[1] != 1 || sites[2] != 2 {
-		t.Fatalf("Sites = %v", sites)
-	}
-	if s := root.String(); !strings.Contains(s, "s2 applied") {
-		t.Fatalf("render:\n%s", s)
-	}
-}
-
-// A relay site that forwards without applying must still appear in the
-// tree, marked not-applied.
-func TestPathOfRelaySite(t *testing.T) {
-	id := tid(3, 4)
-	events := []Event{
-		{T: 0, Kind: TxnCommit, Site: 3, TID: id},
-		{T: 10, Kind: SecondaryForwarded, Site: 3, Peer: 1, TID: id},
-		{T: 50, Kind: SecondaryForwarded, Site: 1, Peer: 0, TID: id}, // relay, no apply at s1
-		{T: 90, Kind: SecondaryApplied, Site: 0, TID: id},
-	}
-	root, err := PathOf(events, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Children) != 1 || root.Children[0].Site != 1 || root.Children[0].Applied {
-		t.Fatalf("relay child = %+v", root.Children)
-	}
-	leaf := root.Children[0].Children
-	if len(leaf) != 1 || leaf[0].Site != 0 || !leaf[0].Applied || leaf[0].Hop != 40*time.Nanosecond {
-		t.Fatalf("leaf = %+v", leaf)
-	}
-}
-
-func TestPathOfErrors(t *testing.T) {
-	if _, err := PathOf(nil, model.TxnID{}); err == nil {
-		t.Fatal("zero TID accepted")
-	}
-	if _, err := PathOf(nil, tid(0, 1)); err == nil {
-		t.Fatal("missing commit accepted")
-	}
-}
-
 func TestPropDelaysAndQuantile(t *testing.T) {
 	id1, id2 := tid(0, 1), tid(1, 1)
 	events := []Event{
@@ -196,26 +129,31 @@ func TestPropDelaysAndQuantile(t *testing.T) {
 		{T: 500, Kind: SecondaryApplied, Site: 4, TID: id1, Proto: 9},
 	}
 	d := PropDelays(events)
-	if len(d[1]) != 2 || d[1][0] != 200 || d[1][1] != 600 {
-		t.Fatalf("proto1 delays = %v", d[1])
+	if p1 := d[1]; p1 == nil || p1.Count() != 2 || p1.Min() != 200 || p1.Max() != 600 {
+		t.Fatalf("proto1 delays = %+v, want samples 200 and 600", p1)
 	}
-	if len(d[2]) != 1 || d[2][0] != 100 {
-		t.Fatalf("proto2 delays = %v", d[2])
+	if p2 := d[2]; p2 == nil || p2.Count() != 1 || p2.Quantile(0.5) != 100 {
+		t.Fatalf("proto2 delays = %+v, want one sample of 100", p2)
 	}
-	if len(d[9]) != 0 {
-		t.Fatalf("cross-protocol contamination: %v", d[9])
+	if d[9] != nil {
+		t.Fatalf("cross-protocol contamination: %+v", d[9])
 	}
-	if q := Quantile(nil, 0.95); q != 0 {
+	var h hist.Histogram
+	if q := h.Quantile(0.95); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
-	if q := Quantile([]time.Duration{42}, 0.5); q != 42 {
+	h.Record(42)
+	if q := h.Quantile(0.5); q != 42 {
 		t.Fatalf("single-sample quantile = %v", q)
 	}
-	ds := []time.Duration{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	if q := Quantile(ds, 0.5); q != 50 {
+	var ds hist.Histogram
+	for v := uint64(10); v <= 100; v += 10 {
+		ds.Record(v)
+	}
+	if q := ds.Quantile(0.5); q != 50 {
 		t.Fatalf("p50 = %v", q)
 	}
-	if q := Quantile(ds, 1.0); q != 100 {
+	if q := ds.Quantile(1.0); q != 100 {
 		t.Fatalf("p100 = %v", q)
 	}
 }
